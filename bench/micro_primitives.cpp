@@ -48,6 +48,36 @@ void BM_MatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMul)->Arg(64)->Arg(128);
 
+// The transposed variants at resnet32_lite's Dense shapes (batch 64), args
+// {m, k, n} of C(m,n).  matmul_nt is the backward dX = dY W^T, matmul_tn the
+// weight gradient dW = X^T dY; the third shape of each is the 10-class
+// output layer.
+template <void (*Kernel)(const Tensor&, const Tensor&, Tensor&), bool kTransposeA>
+void matmul_variant(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  Rng rng(1);
+  Tensor a(kTransposeA ? Shape{k, m} : Shape{m, k});
+  Tensor b(kTransposeA ? Shape{k, n} : Shape{n, k});
+  Tensor c({m, n});
+  for (std::size_t i = 0; i < a.numel(); ++i) a[i] = static_cast<float>(rng.gaussian());
+  for (std::size_t i = 0; i < b.numel(); ++i) b[i] = static_cast<float>(rng.gaussian());
+  for (auto _ : state) {
+    Kernel(a, b, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(m * k * n));
+}
+
+void BM_MatMulNt(benchmark::State& state) { matmul_variant<ops::matmul_nt, false>(state); }
+BENCHMARK(BM_MatMulNt)->Args({64, 96, 64})->Args({64, 64, 96})->Args({64, 10, 64});
+
+void BM_MatMulTn(benchmark::State& state) { matmul_variant<ops::matmul_tn, true>(state); }
+BENCHMARK(BM_MatMulTn)->Args({64, 64, 96})->Args({96, 64, 64})->Args({64, 64, 10});
+
 void BM_GradientStep(benchmark::State& state) {
   const auto split = make_synthetic(small_spec());
   Rng rng(2);

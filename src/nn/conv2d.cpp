@@ -25,7 +25,10 @@ Conv2D::Conv2D(std::size_t in_channels, std::size_t height, std::size_t width,
       dw_({out_channels, in_channels * kh * kw}),
       db_({out_channels}),
       cols_({in_channels * kh * kw, oh_ * ow_}),
-      dcols_({in_channels * kh * kw, oh_ * ow_}) {
+      dcols_({in_channels * kh * kw, oh_ * ow_}),
+      out_mat_({out_channels, oh_ * ow_}),
+      dy_mat_({out_channels, oh_ * ow_}),
+      dw_sample_({out_channels, in_channels * kh * kw}) {
   if (kh > height + 2 * pad || kw > width + 2 * pad)
     throw ShapeError("Conv2D: kernel larger than padded input");
   he_init(w_, in_channels * kh * kw, rng);
@@ -46,7 +49,10 @@ Conv2D::Conv2D(const Conv2D& other, int)
       dw_(other.dw_),
       db_(other.db_),
       cols_(other.cols_),
-      dcols_(other.dcols_) {}
+      dcols_(other.dcols_),
+      out_mat_(other.out_mat_.shape()),
+      dy_mat_(other.dy_mat_.shape()),
+      dw_sample_(other.dw_sample_.shape()) {}
 
 const Tensor& Conv2D::forward(const Tensor& x) {
   if (x.rank() != 2 || x.dim(1) != in_c_ * h_ * w_px_)
@@ -57,13 +63,12 @@ const Tensor& Conv2D::forward(const Tensor& x) {
   if (y_.rank() != 2 || y_.dim(0) != n || y_.dim(1) != out_features())
     y_ = Tensor({n, out_features()});
 
-  Tensor out_mat({out_c_, oh_ * ow_});
   for (std::size_t i = 0; i < n; ++i) {
     const std::span<const float> image{x.data() + i * in_c_ * h_ * w_px_, in_c_ * h_ * w_px_};
     ops::im2col(image, in_c_, h_, w_px_, kh_, kw_, pad_, cols_);
-    ops::matmul(w_, cols_, out_mat);
+    ops::matmul(w_, cols_, out_mat_);
     float* dst = y_.data() + i * out_features();
-    const float* src = out_mat.data();
+    const float* src = out_mat_.data();
     for (std::size_t c = 0; c < out_c_; ++c) {
       const float bias = b_[c];
       for (std::size_t p = 0; p < oh_ * ow_; ++p) dst[c * oh_ * ow_ + p] = src[c * oh_ * ow_ + p] + bias;
@@ -72,35 +77,46 @@ const Tensor& Conv2D::forward(const Tensor& x) {
   return y_;
 }
 
-const Tensor& Conv2D::backward(const Tensor& dy) {
+void Conv2D::check_grad_shape(const Tensor& dy) const {
   if (dy.rank() != 2 || dy.dim(1) != out_features())
     throw ShapeError("Conv2D::backward: gradient shape mismatch");
+}
+
+void Conv2D::accumulate_sample_param_grads(const Tensor& dy, std::size_t i) {
+  // Rebuild cols for this sample (cheaper than caching N col matrices).
+  const std::span<const float> image{x_cache_.data() + i * in_c_ * h_ * w_px_,
+                                     in_c_ * h_ * w_px_};
+  ops::im2col(image, in_c_, h_, w_px_, kh_, kw_, pad_, cols_);
+
+  const float* src = dy.data() + i * out_features();
+  std::copy(src, src + out_features(), dy_mat_.data());
+
+  ops::matmul_nt(dy_mat_, cols_, dw_sample_);  // (out_c, ickhkw)
+  ops::add_inplace(dw_.span(), dw_sample_.span());
+  for (std::size_t c = 0; c < out_c_; ++c) {
+    float acc = 0.0f;
+    for (std::size_t p = 0; p < oh_ * ow_; ++p) acc += src[c * oh_ * ow_ + p];
+    db_[c] += acc;
+  }
+}
+
+void Conv2D::backward_params(const Tensor& dy) {
+  check_grad_shape(dy);
+  dw_.fill(0.0f);
+  db_.fill(0.0f);
+  for (std::size_t i = 0; i < dy.dim(0); ++i) accumulate_sample_param_grads(dy, i);
+}
+
+const Tensor& Conv2D::backward(const Tensor& dy) {
+  check_grad_shape(dy);
   const std::size_t n = dy.dim(0);
   if (dx_.rank() != 2 || dx_.dim(0) != n || dx_.dim(1) != in_c_ * h_ * w_px_)
     dx_ = Tensor({n, in_c_ * h_ * w_px_});
   dw_.fill(0.0f);
   db_.fill(0.0f);
-
-  Tensor dy_mat({out_c_, oh_ * ow_});
-  Tensor dw_sample({out_c_, in_c_ * kh_ * kw_});
   for (std::size_t i = 0; i < n; ++i) {
-    // Rebuild cols for this sample (cheaper than caching N col matrices).
-    const std::span<const float> image{x_cache_.data() + i * in_c_ * h_ * w_px_,
-                                       in_c_ * h_ * w_px_};
-    ops::im2col(image, in_c_, h_, w_px_, kh_, kw_, pad_, cols_);
-
-    const float* src = dy.data() + i * out_features();
-    std::copy(src, src + out_features(), dy_mat.data());
-
-    ops::matmul_nt(dy_mat, cols_, dw_sample);  // (out_c, ickhkw)
-    ops::add_inplace(dw_.span(), dw_sample.span());
-    for (std::size_t c = 0; c < out_c_; ++c) {
-      float acc = 0.0f;
-      for (std::size_t p = 0; p < oh_ * ow_; ++p) acc += src[c * oh_ * ow_ + p];
-      db_[c] += acc;
-    }
-
-    ops::matmul_tn(w_, dy_mat, dcols_);  // (ickhkw, ohow)
+    accumulate_sample_param_grads(dy, i);
+    ops::matmul_tn(w_, dy_mat_, dcols_);  // (ickhkw, ohow)
     std::span<float> dimage{dx_.data() + i * in_c_ * h_ * w_px_, in_c_ * h_ * w_px_};
     ops::col2im(dcols_, in_c_, h_, w_px_, kh_, kw_, pad_, dimage);
   }

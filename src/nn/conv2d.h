@@ -18,6 +18,7 @@ class Conv2D final : public Layer {
 
   const Tensor& forward(const Tensor& x) override;
   const Tensor& backward(const Tensor& dy) override;
+  void backward_params(const Tensor& dy) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_, &db_}; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
@@ -30,6 +31,11 @@ class Conv2D final : public Layer {
  private:
   Conv2D(const Conv2D& other, int);  // clone helper
 
+  void check_grad_shape(const Tensor& dy) const;
+  /// dW and db contributions of sample i; leaves its dY in dy_mat_ and its
+  /// patches in cols_.
+  void accumulate_sample_param_grads(const Tensor& dy, std::size_t i);
+
   std::size_t in_c_, h_, w_px_, out_c_, kh_, kw_, pad_, oh_, ow_;
   Tensor w_;    // (out_c, in_c*kh*kw)
   Tensor b_;    // (out_c)
@@ -38,6 +44,9 @@ class Conv2D final : public Layer {
   Tensor x_cache_;
   Tensor cols_;      // im2col buffer (in_c*kh*kw, oh*ow)
   Tensor dcols_;     // gradient buffer same shape
+  Tensor out_mat_;   // one sample's output (out_c, oh*ow)
+  Tensor dy_mat_;    // one sample's dY, same shape
+  Tensor dw_sample_; // one sample's dW (out_c, in_c*kh*kw)
   Tensor y_;
   Tensor dx_;
 };

@@ -29,6 +29,11 @@ class Layer {
   /// accumulates parameter gradients (overwrite semantics per step).
   virtual const Tensor& backward(const Tensor& dy) = 0;
 
+  /// Backward pass for a layer whose dL/d(input) nobody reads (the model's
+  /// first layer): accumulates the same parameter gradients as backward().
+  /// Layers with an expensive input gradient override it to skip that work.
+  virtual void backward_params(const Tensor& dy) { (void)backward(dy); }
+
   /// Mutable parameter tensors (may be empty for stateless layers).
   virtual std::vector<Tensor*> params() { return {}; }
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "common/error.h"
 
@@ -14,64 +16,136 @@ void require(bool cond, const char* msg) {
 }
 }  // namespace
 
+// One GEMM kernel serves all three matmul variants.  Every output element
+// starts from +0 and adds its products in ascending k, so results are
+// bit-identical to the plain triple loops kept as references in
+// tests/test_ops.cpp; only the loop structure and the vector width differ
+// from them.  Packing does the transposes: row i
+// of A is gathered (with any stride) into a list of (value, B-row offset)
+// terms, and B must be row-major (k, n).  The kernel then sweeps that list
+// over register tiles of up to 32 columns of C, one row at a time.
+//
+// Zero skipping is part of each variant's contract.  matmul and matmul_tn
+// drop terms with A(i,kk) == 0; matmul_nt keeps them.  Dropping a zero term
+// only changes a result when the matching B entry is inf or NaN (0 * inf is
+// NaN), but the rule is kept exactly.  Gathering the non-zero terms once per
+// row also means ReLU-sparse activations cost no branch in the inner loop.
+namespace {
+
+// Four float lanes (GCC/Clang vector extension): one SSE2 register.  The
+// arithmetic is lane-wise IEEE single precision, the same as the scalar loop.
+typedef float f32x4 __attribute__((vector_size(16)));
+
+inline f32x4 load4(const float* p) {
+  f32x4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store4(float* p, f32x4 v) { std::memcpy(p, &v, sizeof v); }
+
+// Per-thread scratch: the current row of A as the terms of its dot products
+// (each value with the offset of the B row it multiplies, in ascending k)
+// and, for matmul_nt, B^T.
+struct GemmScratch {
+  std::vector<float> value;
+  std::vector<std::size_t> b_offset;
+  std::vector<float> packed_b;
+};
+
+GemmScratch& scratch() {
+  thread_local GemmScratch s;
+  return s;
+}
+
+// c[0, 4*V) = the row's terms times columns [0, 4*V) of `b`, each lane
+// summed from +0 in term order.
+template <int V>
+void row_tile(const float* value, const std::size_t* b_offset, std::size_t terms,
+              const float* b, float* c) {
+  f32x4 acc[V] = {};
+  for (std::size_t t = 0; t < terms; ++t) {
+    const float av = value[t];
+    const float* brow = b + b_offset[t];
+    for (int v = 0; v < V; ++v) acc[v] += av * load4(brow + 4 * v);
+  }
+  for (int v = 0; v < V; ++v) store4(c + 4 * v, acc[v]);
+}
+
+// C(m,n) = A(m,k) B(k,n) with A(i,kk) = a[i * a_row + kk * a_k] and B, C
+// row-major.  C is written, not accumulated into.
+template <bool kSkipZeros>
+void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t a_row,
+          std::size_t a_k, const float* b, float* c) {
+  GemmScratch& s = scratch();
+  s.value.resize(k);
+  s.b_offset.resize(k);
+  float* value = s.value.data();
+  std::size_t* b_offset = s.b_offset.data();
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* arow = a + i * a_row;
+    std::size_t terms = 0;
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float av = arow[kk * a_k];
+      value[terms] = av;
+      b_offset[terms] = kk * n;
+      terms += kSkipZeros ? (av != 0.0f) : 1;
+    }
+    float* crow = c + i * n;
+    std::size_t j = 0;
+    for (; j + 32 <= n; j += 32) row_tile<8>(value, b_offset, terms, b + j, crow + j);
+    if (j + 16 <= n) {
+      row_tile<4>(value, b_offset, terms, b + j, crow + j);
+      j += 16;
+    }
+    if (j + 8 <= n) {
+      row_tile<2>(value, b_offset, terms, b + j, crow + j);
+      j += 8;
+    }
+    if (j + 4 <= n) {
+      row_tile<1>(value, b_offset, terms, b + j, crow + j);
+      j += 4;
+    }
+    if (j < n && n >= 4) {
+      // The last 1-3 columns: a 4-wide tile ending at column n.  It also
+      // recomputes columns already written, to the same bits.
+      row_tile<1>(value, b_offset, terms, b + n - 4, crow + n - 4);
+    } else {
+      for (; j < n; ++j) {
+        float acc = 0.0f;
+        for (std::size_t t = 0; t < terms; ++t) acc += value[t] * b[b_offset[t] + j];
+        crow[j] = acc;
+      }
+    }
+  }
+}
+
+}  // namespace
+
 void matmul(const Tensor& a, const Tensor& b, Tensor& c) {
   require(a.rank() == 2 && b.rank() == 2 && c.rank() == 2, "matmul: rank-2 tensors required");
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   require(b.dim(0) == k && c.dim(0) == m && c.dim(1) == n, "matmul: shape mismatch");
-  c.fill(0.0f);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  // ikj ordering: streams B and C rows; good locality without tiling
-  // machinery for the sizes we use (<= a few hundred per dim).
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float av = pa[i * k + kk];
-      if (av == 0.0f) continue;
-      const float* brow = pb + kk * n;
-      float* crow = pc + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  gemm<true>(m, n, k, a.data(), k, 1, b.data(), c.data());
 }
 
 void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c) {
   require(a.rank() == 2 && b.rank() == 2 && c.rank() == 2, "matmul_tn: rank-2 tensors required");
   const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
   require(b.dim(0) == k && c.dim(0) == m && c.dim(1) == n, "matmul_tn: shape mismatch");
-  c.fill(0.0f);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const float* arow = pa + kk * m;
-    const float* brow = pb + kk * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      float* crow = pc + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  gemm<true>(m, n, k, a.data(), 1, m, b.data(), c.data());
 }
 
 void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c) {
   require(a.rank() == 2 && b.rank() == 2 && c.rank() == 2, "matmul_nt: rank-2 tensors required");
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
   require(b.dim(1) == k && c.dim(0) == m && c.dim(1) == n, "matmul_nt: shape mismatch");
-  const float* pa = a.data();
+  std::vector<float>& bt = scratch().packed_b;
+  bt.resize(k * n);
   const float* pb = b.data();
-  float* pc = c.data();
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = pa + i * k;
-    float* crow = pc + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* brow = pb + j * k;
-      float acc = 0.0f;
-      for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      crow[j] = acc;
-    }
-  }
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t kk = 0; kk < k; ++kk) bt[kk * n + j] = pb[j * k + kk];
+  gemm<false>(m, n, k, a.data(), k, 1, bt.data(), c.data());
 }
 
 void add_inplace(std::span<float> y, std::span<const float> x) {
@@ -121,7 +195,12 @@ void relu_backward(const Tensor& x, const Tensor& dy, Tensor& dx) {
   const float* px = x.data();
   const float* pdy = dy.data();
   float* pdx = dx.data();
-  for (std::size_t i = 0; i < x.numel(); ++i) pdx[i] = px[i] > 0.0f ? pdy[i] : 0.0f;
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    // Load dy unconditionally: a select instead of a branch on ReLU's
+    // random sign pattern, which vectorizes and never mispredicts.
+    const float g = pdy[i];
+    pdx[i] = px[i] > 0.0f ? g : 0.0f;
+  }
 }
 
 void softmax_rows(const Tensor& logits, Tensor& probs) {

@@ -1,8 +1,18 @@
 // Tensor math kernels used by the NN layers.
 //
 // Everything is a free function on Tensor / span<float>, single-threaded and
-// deterministic.  matmul uses a register-blocked ikj loop that is fast enough
-// for the scaled-down workloads this repo trains (see EXPERIMENTS.md).
+// deterministic.
+//
+// The three matmuls share one register-tiled kernel (ARCHITECTURE.md,
+// "Tensor kernels").  Their results are pinned bit for bit:
+//   - every C element starts from +0 and adds A(i,kk) * B(kk,j) in ascending
+//     kk, one IEEE single-precision multiply and one add per product;
+//   - matmul and matmul_tn skip products whose A entry is zero (±0);
+//     matmul_nt does not.  The two rules differ only where B holds inf or
+//     NaN, since 0 * inf is NaN;
+//   - nothing is contracted into an FMA: the build passes -ffp-contract=off,
+//     so -march or CXXFLAGS cannot change a bit.
+// tests/test_ops.cpp checks each variant against the plain triple loop.
 #pragma once
 
 #include <cstddef>

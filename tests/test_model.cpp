@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "data/batcher.h"
 #include "data/synthetic.h"
 #include "nn/activations.h"
+#include "nn/conv2d.h"
 #include "nn/dense.h"
+#include "nn/loss.h"
 #include "nn/zoo.h"
 
 namespace ss {
@@ -140,6 +145,99 @@ TEST(Model, LearnsEasySyntheticTask) {
   }
   m.set_params(params);
   EXPECT_GT(m.evaluate_accuracy(split.test), 0.85);
+}
+
+TEST(Model, FirstLayerInputGradientSkipKeepsParamGradients) {
+  // The model skips the first layer's dL/d(input); a hand-run chain of
+  // replicas with the full backward through every layer must produce the
+  // same parameter gradients, bit for bit.
+  Rng rng(42);
+  Model model;
+  std::vector<std::unique_ptr<Layer>> chain;
+  const auto add = [&](std::unique_ptr<Layer> layer) {
+    chain.push_back(layer->clone());
+    model.add(std::move(layer));
+  };
+  add(std::make_unique<Conv2D>(3, 8, 8, 4, 3, 3, 1, rng));
+  add(std::make_unique<ReLU>());
+  add(std::make_unique<Dense>(4 * 8 * 8, 16, rng));
+  add(std::make_unique<ReLU>());
+  add(std::make_unique<Dense>(16, 5, rng));
+
+  Tensor x({6, 3 * 8 * 8});
+  for (std::size_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(rng.gaussian());
+  const std::vector<int> labels = {0, 1, 2, 3, 4, 0};
+  const double loss = model.compute_gradients(x, labels);
+  std::vector<float> got(model.num_params());
+  model.get_gradients(got);
+
+  const Tensor* act = &x;
+  for (auto& layer : chain) act = &layer->forward(*act);
+  SoftmaxCrossEntropy head;
+  EXPECT_EQ(head.forward(*act, labels), loss);
+  const Tensor* grad = &head.backward();
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) grad = &(*it)->backward(*grad);
+  std::vector<float> want;
+  for (auto& layer : chain)
+    for (const Tensor* g : layer->grads())
+      want.insert(want.end(), g->data(), g->data() + g->numel());
+
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0);
+}
+
+/// 64-bit FNV-1a over the bytes of each float, folded into `h`.
+std::uint64_t fnv1a(std::uint64_t h, std::span<const float> values) {
+  for (const float v : values) {
+    unsigned char bytes[sizeof(float)];
+    std::memcpy(bytes, &v, sizeof(float));
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+/// Hash of every gradient bit (and loss) over a few plain SGD steps on
+/// Gaussian inputs, plus the final logits.  ReLU hidden layers see ~50%
+/// zeros, so every matmul variant's zero-skip path and the transposed
+/// kernels of hidden layers are pinned, which the linear-model determinism
+/// corpus does not reach.
+std::uint64_t sgd_gradient_fingerprint(ModelArch arch, std::size_t input_dim,
+                                       std::size_t batch, int steps) {
+  Rng rng(77);
+  Model m = make_model(arch, input_dim, 10, rng);
+  std::vector<float> params = m.get_params();
+  std::vector<float> grad(params.size());
+  Tensor x({batch, input_dim});
+  std::vector<int> labels(batch);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (int step = 0; step < steps; ++step) {
+    for (std::size_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(rng.gaussian());
+    for (auto& y : labels) y = static_cast<int>(rng.uniform_index(10));
+    const float loss = static_cast<float>(m.gradient_at(params, x, labels, grad));
+    h = fnv1a(h, std::span<const float>(&loss, 1));
+    h = fnv1a(h, grad);
+    for (std::size_t i = 0; i < params.size(); ++i) params[i] -= 0.05f * grad[i];
+  }
+  m.set_params(params);
+  return fnv1a(h, m.forward(x).span());
+}
+
+// Fingerprints recorded with the plain triple-loop matmul kernels and the
+// full backward through layer 0; any change to a kernel's summation order
+// or zero-skip rule, or to what the model's backward computes, moves them.
+TEST(GradientFingerprint, ResNet32LiteSgdSteps) {
+  EXPECT_EQ(sgd_gradient_fingerprint(ModelArch::kResNet32Lite, 64, 64, 4),
+            0xc78e31da547b69c9ULL);
+  EXPECT_EQ(sgd_gradient_fingerprint(ModelArch::kResNet32Lite, 64, 32, 4),
+            0x0643cda05cb4cd46ULL);
+}
+
+TEST(GradientFingerprint, ConvNetTinySgdSteps) {
+  EXPECT_EQ(sgd_gradient_fingerprint(ModelArch::kConvNetTiny, 3 * 16 * 16, 16, 3),
+            0xa0f7712910901231ULL);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
@@ -120,6 +122,23 @@ TEST(Conv2D, OutputGeometry) {
   EXPECT_EQ(layer.out_features(), 4u * 8u * 8u);
   const Tensor& y = layer.forward(random_input({2, 3 * 8 * 8}, 30));
   EXPECT_EQ(y.dim(1), layer.out_features());
+}
+
+TEST(Conv2D, RepeatedCallsAreIdentical) {
+  // The per-sample buffers are reused across calls; a second pass over the
+  // same input must reproduce the first bit for bit.
+  Rng rng(36);
+  Conv2D layer(3, 8, 8, 4, 3, 3, 1, rng);
+  const Tensor x = random_input({3, 3 * 8 * 8}, 37);
+  const Tensor y1 = layer.forward(x);
+  const Tensor dx1 = layer.backward(y1);
+  const Tensor dw1 = *layer.grads()[0];
+  layer.backward(layer.forward(random_input({2, 3 * 8 * 8}, 38)));
+  const Tensor y2 = layer.forward(x);
+  const Tensor dx2 = layer.backward(y2);
+  EXPECT_EQ(std::memcmp(y1.data(), y2.data(), y1.numel() * sizeof(float)), 0);
+  EXPECT_EQ(std::memcmp(dx1.data(), dx2.data(), dx1.numel() * sizeof(float)), 0);
+  EXPECT_EQ(std::memcmp(dw1.data(), layer.grads()[0]->data(), dw1.numel() * sizeof(float)), 0);
 }
 
 TEST(MaxPool, ForwardPicksMaxAndBackwardRoutes) {

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <tuple>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -65,6 +69,166 @@ TEST(Ops, MatmulNtIsTransposedB) {
     for (std::size_t j = 0; j < 3; ++j) b.at2(i, j) = bt.at2(j, i);
   const Tensor ref = naive_matmul(a, b);
   for (std::size_t i = 0; i < c.numel(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-4);
+}
+
+// The plain triple loops the kernels replaced, kept word for word as the
+// bit-exact references: each output starts from +0 and adds its products in
+// ascending k; matmul and matmul_tn skip a == 0, matmul_nt does not.
+void reference_matmul(const Tensor& a, const Tensor& b, Tensor& c) {
+  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  c.fill(0.0f);
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* pc = c.data();
+  // ikj ordering: streams B and C rows; good locality without tiling
+  // machinery for the sizes we use (<= a few hundred per dim).
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float av = pa[i * k + kk];
+      if (av == 0.0f) continue;
+      const float* brow = pb + kk * n;
+      float* crow = pc + i * n;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+void reference_matmul_tn(const Tensor& a, const Tensor& b, Tensor& c) {
+  const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
+  c.fill(0.0f);
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* pc = c.data();
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float* arow = pa + kk * m;
+    const float* brow = pb + kk * n;
+    for (std::size_t i = 0; i < m; ++i) {
+      const float av = arow[i];
+      if (av == 0.0f) continue;
+      float* crow = pc + i * n;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+void reference_matmul_nt(const Tensor& a, const Tensor& b, Tensor& c) {
+  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* pc = c.data();
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* arow = pa + i * k;
+    float* crow = pc + i * n;
+    for (std::size_t j = 0; j < n; ++j) {
+      const float* brow = pb + j * k;
+      float acc = 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
+      crow[j] = acc;
+    }
+  }
+}
+
+Tensor transposed(const Tensor& t) {
+  Tensor out({t.dim(1), t.dim(0)});
+  for (std::size_t i = 0; i < t.dim(0); ++i)
+    for (std::size_t j = 0; j < t.dim(1); ++j) out.at2(j, i) = t.at2(i, j);
+  return out;
+}
+
+/// Logical operands of C(m,n) = A(m,k) B(k,n).  A is ReLU-like: about half
+/// its entries are zero, and every column kk with kk % 5 == 2 is all zero.
+/// B is Gaussian except that those rows kk also hold +inf, -inf and NaN, so
+/// a kernel that multiplies out a zero A entry it should skip (or skips one
+/// it should multiply) produces different bits.
+std::pair<Tensor, Tensor> kernel_operands(std::size_t m, std::size_t k, std::size_t n,
+                                          std::uint64_t seed) {
+  Rng rng(seed);
+  Tensor a({m, k});
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float v = static_cast<float>(rng.gaussian());
+      a.at2(i, kk) = (kk % 5 == 2 || v < 0.0f) ? 0.0f : v;
+    }
+  // Computed at run time so it is the hardware's own default NaN, the one
+  // 0 * inf produces inside the kernels.
+  volatile float zero = 0.0f;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = zero * inf;
+  const float specials[] = {inf, -inf, nan};
+  Tensor b({k, n});
+  for (std::size_t kk = 0; kk < k; ++kk)
+    for (std::size_t j = 0; j < n; ++j) {
+      b.at2(kk, j) = static_cast<float>(rng.gaussian());
+      if (kk % 5 == 2 && j % 2 == 0) b.at2(kk, j) = specials[(kk + j) % 3];
+    }
+  return {std::move(a), std::move(b)};
+}
+
+bool same_bits(const Tensor& x, const Tensor& y) {
+  return x.numel() == y.numel() &&
+         std::memcmp(x.data(), y.data(), x.numel() * sizeof(float)) == 0;
+}
+
+std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> kernel_shapes() {
+  std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> shapes = {{1, 1, 1}};
+  // Column counts around every register-tile width (4, 8, 16, 32).
+  for (std::size_t n : {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 63, 64, 65, 100})
+    shapes.emplace_back(3, 7, n);
+  // resnet32_lite's Dense shapes at batch 64 and 32.
+  for (std::size_t m : {64, 32})
+    for (std::size_t k : {64, 96})
+      for (std::size_t n : {96, 64, 10}) shapes.emplace_back(m, k, n);
+  // convnet_tiny's Conv2D: forward, dW and dcols products of one sample.
+  shapes.emplace_back(8, 27, 256);
+  shapes.emplace_back(8, 256, 27);
+  shapes.emplace_back(27, 8, 256);
+  return shapes;
+}
+
+TEST(OpsBitExact, MatmulMatchesReferenceLoop) {
+  std::uint64_t seed = 100;
+  for (const auto& [m, k, n] : kernel_shapes()) {
+    const auto [a, b] = kernel_operands(m, k, n, ++seed);
+    Tensor got({m, n}, 7.0f), want({m, n});
+    ops::matmul(a, b, got);
+    reference_matmul(a, b, want);
+    EXPECT_TRUE(same_bits(got, want)) << m << "x" << k << "x" << n;
+    // Skipping the zero column keeps inf/NaN out of every output.
+    if (k > 2) {
+      EXPECT_TRUE(got.all_finite()) << m << "x" << k << "x" << n;
+    }
+  }
+}
+
+TEST(OpsBitExact, MatmulTnMatchesReferenceLoop) {
+  std::uint64_t seed = 200;
+  for (const auto& [m, k, n] : kernel_shapes()) {
+    const auto [a, b] = kernel_operands(m, k, n, ++seed);
+    const Tensor at = transposed(a);
+    Tensor got({m, n}, 7.0f), want({m, n});
+    ops::matmul_tn(at, b, got);
+    reference_matmul_tn(at, b, want);
+    EXPECT_TRUE(same_bits(got, want)) << m << "x" << k << "x" << n;
+    if (k > 2) {
+      EXPECT_TRUE(got.all_finite()) << m << "x" << k << "x" << n;
+    }
+  }
+}
+
+TEST(OpsBitExact, MatmulNtMatchesReferenceLoop) {
+  std::uint64_t seed = 300;
+  for (const auto& [m, k, n] : kernel_shapes()) {
+    const auto [a, b] = kernel_operands(m, k, n, ++seed);
+    const Tensor bt = transposed(b);
+    Tensor got({m, n}, 7.0f), want({m, n});
+    ops::matmul_nt(a, bt, got);
+    reference_matmul_nt(a, bt, want);
+    EXPECT_TRUE(same_bits(got, want)) << m << "x" << k << "x" << n;
+    // No zero skipping: 0 * inf reaches the output.
+    if (k > 2) {
+      EXPECT_FALSE(got.all_finite()) << m << "x" << k << "x" << n;
+    }
+  }
 }
 
 TEST(Ops, MatmulShapeMismatchThrows) {
